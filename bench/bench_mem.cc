@@ -67,7 +67,7 @@ void traverse(const V& g, graph::vid_t root, const core::HybridPolicy& policy,
               bfs::MemTuning tuning, RunTotals& totals) {
   bfs::BfsState state(g.num_vertices(), root);
   while (!state.frontier_empty()) {
-    const graph::eid_t e_cq = bfs::frontier_out_edges(g, state.frontier_queue);
+    const graph::eid_t e_cq = state.frontier_edges(g);
     const auto v_cq = static_cast<graph::vid_t>(state.frontier_queue.size());
     if (policy.decide(e_cq, v_cq, g.num_edges(), g.num_vertices()) ==
         bfs::Direction::kTopDown) {

@@ -29,6 +29,10 @@ namespace bfsx::bfs {
 /// Exact work counters for one bottom-up level.
 struct BottomUpStats {
   vid_t frontier_vertices = 0;  // |V|cq entering the level
+  /// |E|cq entering the level, read from the state's carried count.
+  /// Not bottom-up work; reported so every direction's level records
+  /// carry the paper's switch inputs.
+  eid_t frontier_edges = 0;
   vid_t unvisited_vertices = 0; // candidates that scanned for a parent
   /// Loop trip count of the candidate scan: the length of the compacted
   /// unvisited list (or n for an unprimed probe's full scan). Strictly
@@ -82,7 +86,9 @@ void prime_unvisited(vid_t num_vertices, BfsState& state);
 /// and reuses state.bu_scratch for the next frontier, so steady-state
 /// levels neither rescan visited vertices nor allocate. With default
 /// tuning, all counters (|V|cq, unvisited, edges-scanned hit/miss,
-/// next) are bit-equal to the full-scan kernel's.
+/// next) are bit-equal to the full-scan kernel's. The discovered
+/// vertices' out-degrees are summed in the same scan, which carries the
+/// next level's |E|cq in the state.
 ///
 /// `tuning` (bfs/mem_tuning.h):
 ///   * prefetch.distance d > 0 on a PrefetchableView prefetches the
@@ -101,6 +107,7 @@ template <graph::TransposeView V>
 BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   BottomUpStats stats;
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
+  stats.frontier_edges = state.frontier_edges(g);
 
   const std::int32_t next_level = state.current_level + 1;
   if (!state.unvisited_primed) detail::prime_unvisited(g.num_vertices(), state);
@@ -143,13 +150,14 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   eid_t scanned_hit = 0;
   eid_t scanned_miss = 0;
   vid_t found = 0;
+  eid_t found_edges = 0;
   vid_t hub_probes = 0;
   vid_t hub_hits = 0;
 
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 1024) \
-    reduction(+ : unvisited, scanned_hit, scanned_miss, found, hub_probes, \
-                  hub_hits)
+    reduction(+ : unvisited, scanned_hit, scanned_miss, found, found_edges, \
+                  hub_probes, hub_hits)
 #endif
   for (std::size_t i = 0; i < ncand; ++i) {
     const vid_t v = cand[i];
@@ -185,6 +193,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
           next.set_atomic(static_cast<std::size_t>(v));
           ++hub_hits;
           ++found;
+          found_edges += g.out_degree(v);
           scanned_hit += hwalked;
           continue;
         }
@@ -208,6 +217,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
         });
     if (hit) {
       ++found;
+      found_edges += g.out_degree(v);
       scanned_hit += walked;
     } else {
       scanned_miss += walked;
@@ -234,8 +244,7 @@ BottomUpStats bottom_up_step(const V& g, BfsState& state, MemTuning tuning) {
   stats.next_vertices = found;
   stats.hub_probes = hub_probes;
   stats.hub_hits = hub_hits;
-  state.reached += found;
-  state.current_level = next_level;
+  state.finish_level(found, found_edges);
   state.frontier_bitmap.swap(next);
   // `next` (the scratch) now holds the *previous* frontier's bits; the
   // outgoing queue still lists exactly those vertices, so zeroing their
@@ -270,6 +279,7 @@ template <graph::TransposeView V>
                                             const BfsState& state) {
   BottomUpStats stats;
   stats.frontier_vertices = static_cast<vid_t>(state.frontier_queue.size());
+  stats.frontier_edges = state.frontier_edges(g);
 
   const vid_t n = g.num_vertices();
   vid_t unvisited = 0;

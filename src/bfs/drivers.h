@@ -70,22 +70,18 @@ BfsResult run_bottom_up(const V& g, vid_t root, TraversalLog* log = nullptr) {
   BfsState state(g.num_vertices(), root);
   while (!state.frontier_empty()) {
     const std::int32_t lvl = state.current_level;
-    const eid_t cq_edges =
-        state.frontier_queue.empty()
-            ? 0
-            : frontier_out_edges(g, state.frontier_queue);
-    const vid_t cq_vertices = static_cast<vid_t>(state.frontier_queue.size());
     const BottomUpStats s = bottom_up_step(g, state);
     if (log != nullptr) {
-      log->levels.push_back(
-          {lvl, cq_vertices, cq_edges, s.edges_scanned(), s.next_vertices});
+      log->levels.push_back({lvl, s.frontier_vertices, s.frontier_edges,
+                             s.edges_scanned(), s.next_vertices});
     }
   }
   return std::move(state).take_result(g);
 }
 
 /// Textbook serial queue BFS; the oracle all parallel kernels are
-/// checked against in tests.
+/// checked against in tests. It bypasses the step kernels, so it keeps
+/// the state's carried out-degree total itself.
 template <graph::GraphView V>
 BfsResult run_serial(const V& g, vid_t root) {
   BfsState state(g.num_vertices(), root);
@@ -94,13 +90,14 @@ BfsResult run_serial(const V& g, vid_t root) {
   while (!queue.empty()) {
     const vid_t u = queue.front();
     queue.pop_front();
-    g.for_each_out_neighbor(u, [&state, &queue, u](vid_t v) {
+    g.for_each_out_neighbor(u, [&g, &state, &queue, u](vid_t v) {
       auto& p = state.parent[static_cast<std::size_t>(v)];
       if (p == kNoVertex) {
         p = u;
         state.level[static_cast<std::size_t>(v)] =
             state.level[static_cast<std::size_t>(u)] + 1;
         ++state.reached;
+        state.discovered_out_degree += g.out_degree(v);
         queue.push_back(v);
       }
     });

@@ -9,12 +9,6 @@
 
 namespace bfsx::bfs {
 
-void queue_to_bitmap(const std::vector<graph::vid_t>& queue,
-                     graph::Bitmap& bitmap) {
-  bitmap.reset();
-  for (graph::vid_t v : queue) bitmap.set(static_cast<std::size_t>(v));
-}
-
 void bitmap_to_queue(const graph::Bitmap& bitmap,
                      std::vector<graph::vid_t>& queue) {
   const std::size_t nwords = bitmap.word_count();

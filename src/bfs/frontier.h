@@ -1,5 +1,5 @@
-// Frontier bookkeeping helpers: queue<->bitmap conversion and the two
-// quantities the switching rule tests every level, |V|cq and |E|cq.
+// Frontier bookkeeping helpers: bitmap->queue conversion and the |E|cq
+// recount the switching rule's carried count is checked against.
 #pragma once
 
 #include <vector>
@@ -11,17 +11,15 @@
 
 namespace bfsx::bfs {
 
-/// Rebuilds `bitmap` to contain exactly the vertices in `queue`.
-void queue_to_bitmap(const std::vector<graph::vid_t>& queue,
-                     graph::Bitmap& bitmap);
-
 /// Rebuilds `queue` (ascending order) from the set bits of `bitmap`.
 void bitmap_to_queue(const graph::Bitmap& bitmap,
                      std::vector<graph::vid_t>& queue);
 
 /// |E|cq: the number of out-edges hanging off the frontier — what
 /// top-down will traverse this level, and the left operand of the
-/// paper's `|E|cq < |E|/M` switch test.
+/// paper's `|E|cq < |E|/M` switch test. The traversal loops read the
+/// count the step kernels carry (BfsState::frontier_edges); this O(|V|cq)
+/// recount is the independent check tests compare it against.
 [[nodiscard]] graph::eid_t frontier_out_edges(
     const graph::CsrGraph& g, const std::vector<graph::vid_t>& queue);
 

@@ -33,6 +33,9 @@ void BfsState::reset(vid_t num_vertices, vid_t root) {
   for (auto& part : td_local_next) part.clear();
   td_next.clear();
   current_level = 0;
+  next_out_degree = 0;
+  discovered_out_degree = 0;
+  root_vertex = root;
   parent[static_cast<std::size_t>(root)] = root;
   level[static_cast<std::size_t>(root)] = 0;
   visited.set(static_cast<std::size_t>(root));

@@ -69,9 +69,12 @@ struct BfsState {
   Bitmap visited;
 
   /// Current frontier, kept in *both* representations. Top-down reads
-  /// the queue; bottom-up reads the bitmap. Keeping them in sync costs
-  /// O(|frontier|) per level and models the queue<->bitmap conversion
-  /// the real heterogeneous system performs at each handoff.
+  /// the queue; bottom-up reads the bitmap. Top-down syncs the bitmap in
+  /// O(|frontier|): it zeroes the outgoing frontier's words and sets the
+  /// new frontier's bits. Bottom-up decodes its next-frontier bitmap into
+  /// the queue, an O(|V|/64) word scan. The sync models the
+  /// queue<->bitmap conversion the real heterogeneous system performs
+  /// at each handoff.
   std::vector<vid_t> frontier_queue;
   Bitmap frontier_bitmap;
 
@@ -109,9 +112,37 @@ struct BfsState {
 
   std::int32_t current_level = 0;
   vid_t reached = 1;
+  vid_t root_vertex = 0;
+
+  /// Carried out-degree sums. Each step adds up the out-degrees of the
+  /// vertices it discovers inside the parallel loop it already runs, so
+  /// no level walks its frontier a second time to count |E|cq and no
+  /// traversal ends with an O(V) recount. `next_out_degree` is the sum
+  /// over the frontier the last step produced; `discovered_out_degree`
+  /// the running total over every vertex discovered since reset. The
+  /// root's own out-degree is added on read: the state is sized by |V|
+  /// alone and never sees the graph before the first step.
+  eid_t next_out_degree = 0;
+  eid_t discovered_out_degree = 0;
 
   [[nodiscard]] bool frontier_empty() const noexcept {
     return frontier_queue.empty();
+  }
+
+  /// |E|cq of the current frontier in O(1): the root's out-degree at
+  /// level 0, the carried sum afterwards.
+  template <typename G>
+  [[nodiscard]] eid_t frontier_edges(const G& g) const {
+    return current_level == 0 ? g.out_degree(root_vertex) : next_out_degree;
+  }
+
+  /// Closes a level step that discovered `found` vertices whose
+  /// out-degrees sum to `found_out_degree`.
+  void finish_level(vid_t found, eid_t found_out_degree) noexcept {
+    reached += found;
+    next_out_degree = found_out_degree;
+    discovered_out_degree += found_out_degree;
+    ++current_level;
   }
 
   /// Paranoid structural validator (BFSX_PARANOID tier; O(V)). Valid
@@ -141,20 +172,16 @@ struct BfsState {
   }
 
   /// Extracts the final result (parent/level maps are moved out).
-  /// Works for any graph representation that reports vertex count,
-  /// out-degrees, and symmetry — CsrGraph or any GraphView.
+  /// Works for any graph representation that reports out-degrees and
+  /// symmetry — CsrGraph or any GraphView.
   template <typename G>
   [[nodiscard]] BfsResult take_result(const G& g) && {
     BfsResult r;
     r.reached = reached;
-    // Count directed edges whose tail is reached; for a symmetric graph
-    // halving gives the undirected count Graph 500 uses for TEPS.
-    eid_t directed = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      if (parent[static_cast<std::size_t>(v)] != kNoVertex) {
-        directed += g.out_degree(v);
-      }
-    }
+    // Directed edges whose tail is reached, from the carried total; for
+    // a symmetric graph halving gives the undirected count Graph 500
+    // uses for TEPS.
+    const eid_t directed = g.out_degree(root_vertex) + discovered_out_degree;
     r.edges_in_component = g.is_symmetric() ? directed / 2 : directed;
     r.parent = std::move(parent);
     r.level = std::move(level);

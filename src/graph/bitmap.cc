@@ -33,16 +33,6 @@ void Bitmap::set_atomic(std::size_t pos) noexcept {
   word.fetch_or(1ULL << (pos & 63), std::memory_order_relaxed);
 }
 
-bool Bitmap::test_and_set_atomic(std::size_t pos) noexcept {
-  const std::uint64_t mask = 1ULL << (pos & 63);
-  std::atomic_ref<std::uint64_t> word(words_[pos >> 6]);
-  // mem-order: relaxed — RMW atomicity alone elects exactly one winner
-  // per bit; the winner's dependent parent/level stores become visible
-  // to other threads only past the OpenMP barrier that ends the level,
-  // so no acquire/release pairing is needed here.
-  return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
-}
-
 bool Bitmap::none() const noexcept {
   return std::all_of(words_.begin(), words_.end(),
                      [](std::uint64_t w) { return w == 0; });

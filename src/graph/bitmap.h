@@ -6,6 +6,7 @@
 // OpenMP workers; everything else is single-writer.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -66,8 +67,22 @@ class Bitmap {
 
   /// Atomically sets bit `pos` and reports whether it was previously
   /// clear (i.e. whether this caller won the race). The BFS top-down
-  /// kernel uses this as its visited check-and-claim.
-  bool test_and_set_atomic(std::size_t pos) noexcept;
+  /// kernel uses this as its visited check-and-claim. A bit that is
+  /// already set is seen by a plain load, so only the first claimant of
+  /// each bit pays for the locked read-modify-write.
+  bool test_and_set_atomic(std::size_t pos) noexcept {
+    const std::uint64_t mask = 1ULL << (pos & 63);
+    std::atomic_ref<std::uint64_t> word(words_[pos >> 6]);
+    // mem-order: relaxed — bits are only ever set while claimants race,
+    // so a load that sees this bit set proves the claim is lost; a stale
+    // load that misses it falls through to the fetch_or, which decides.
+    if ((word.load(std::memory_order_relaxed) & mask) != 0) return false;
+    // mem-order: relaxed — RMW atomicity alone elects exactly one winner
+    // per bit; the winner's dependent parent/level stores become visible
+    // to other threads only past the OpenMP barrier that ends the level,
+    // so no acquire/release pairing is needed here.
+    return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
+  }
 
   /// Population count over all bits.
   [[nodiscard]] std::size_t count() const noexcept;

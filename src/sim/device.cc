@@ -1,7 +1,5 @@
 #include "sim/device.h"
 
-#include "bfs/frontier.h"
-
 namespace bfsx::sim {
 
 LevelOutcome Device::run_top_down_level(const graph::CsrGraph& g,
@@ -22,9 +20,9 @@ LevelOutcome Device::run_bottom_up_level(const graph::CsrGraph& g,
   LevelOutcome out;
   out.direction = bfs::Direction::kBottomUp;
   out.level = state.current_level;
-  out.frontier_vertices = static_cast<graph::vid_t>(state.frontier_queue.size());
-  out.frontier_edges = bfs::frontier_out_edges(g, state.frontier_queue);
   const bfs::BottomUpStats s = bfs::bottom_up_step(g, state);
+  out.frontier_vertices = s.frontier_vertices;
+  out.frontier_edges = s.frontier_edges;
   out.bu_edges_hit = s.edges_scanned_hit;
   out.bu_edges_miss = s.edges_scanned_miss;
   out.next_vertices = s.next_vertices;

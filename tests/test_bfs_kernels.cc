@@ -203,7 +203,7 @@ TEST(FrontierHelpers, ParallelBitmapToQueueMatchesSerialDecode) {
 TEST(FrontierHelpers, QueueBitmapRoundTrip) {
   graph::Bitmap bm(100);
   const std::vector<vid_t> q = {3, 17, 64, 99};
-  queue_to_bitmap(q, bm);
+  for (vid_t v : q) bm.set(static_cast<std::size_t>(v));
   EXPECT_EQ(bm.count(), 4u);
   std::vector<vid_t> back;
   bitmap_to_queue(bm, back);

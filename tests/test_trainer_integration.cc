@@ -8,6 +8,7 @@
 #include "core/api.h"
 #include "graph/builder.h"
 #include "graph/graph_stats.h"
+#include "obs/sink.h"
 
 namespace bfsx::core {
 namespace {
@@ -137,6 +138,36 @@ TEST(Pipeline, RunAdaptiveSingleEndToEnd) {
   for (const ExecutedLevel& lvl : run.levels) {
     EXPECT_EQ(lvl.device, "KeplerK20xGPU");
   }
+}
+
+/// Counts the events of one traced run.
+class EventCounter final : public obs::TraceSink {
+ public:
+  void on_run_begin(const obs::RunEvent&) override { ++begins; }
+  void on_level(const obs::LevelEvent&) override { ++levels; }
+  void on_run_end(const obs::RunEvent&) override { ++ends; }
+  int begins = 0;
+  int levels = 0;
+  int ends = 0;
+};
+
+TEST(Pipeline, RunAdaptiveSingleEmitsItsTrace) {
+  const TrainerConfig cfg = tiny_config();
+  const SwitchPredictor pred = train_predictor(generate_training_data(cfg));
+
+  graph::RmatParams p;
+  p.scale = 10;
+  p.seed = 7;
+  const graph::CsrGraph g = graph::build_csr(graph::generate_rmat(p));
+  const graph::vid_t root = graph::sample_roots(g, 1, 5)[0];
+  const sim::Device gpu{sim::make_kepler_gpu()};
+  EventCounter sink;
+  const CombinationRun run =
+      run_adaptive_single(g, root, features_from_rmat(p), gpu, pred, &sink);
+  EXPECT_EQ(sink.begins, 1);
+  EXPECT_GE(sink.levels, 1);
+  EXPECT_EQ(sink.levels, static_cast<int>(run.levels.size()));
+  EXPECT_EQ(sink.ends, 1);
 }
 
 TEST(Trainer, LabelConfigurationCrossUsesLink) {
